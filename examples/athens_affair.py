@@ -17,7 +17,6 @@ Run:  python examples/athens_affair.py
 
 from repro.core.usecases import run_config_assurance
 from repro.pera.sampling import SamplingMode, SamplingSpec
-from repro.telemetry import Telemetry, use_default
 
 
 def main() -> None:
@@ -27,16 +26,11 @@ def main() -> None:
     print(f"rejections        : {sum(not v.accepted for v in honest.verdicts)}")
     print(f"calls exfiltrated : {honest.exfiltrated}")
 
-    # The attack run is traced: the audit journal explains, hop by hop,
+    # The attack run is traced: its audit journal explains, hop by hop,
     # WHY the first rogue packet was rejected — the observability the
     # Athens operators lacked.
-    telemetry = Telemetry()
-    previous = use_default(telemetry)
-    try:
-        print("\n=== attack run, per-packet attestation ===")
-        attack = run_config_assurance(packets=20, swap_at=8)
-    finally:
-        use_default(previous)
+    print("\n=== attack run, per-packet attestation ===")
+    attack = run_config_assurance(packets=20, swap_at=8)
     print(f"rogue program installed before packet {attack.swap_at}")
     print(f"first rejected packet            : {attack.first_rejection}")
     print(f"detection delay (packets)        : {attack.detection_delay}")
@@ -45,7 +39,7 @@ def main() -> None:
 
     rejected = next(v for v in attack.verdicts if not v.accepted)
     print("\n--- why the first rejected packet failed ---")
-    print(rejected.explain(telemetry))
+    print(rejected.explain(attack.sharded.telemetry))
 
     print("\n=== attack run, 1-in-4 sampled attestation ===")
     sampled = run_config_assurance(

@@ -1,7 +1,7 @@
 """The Copland attestation virtual machine.
 
 Executes a phrase across a set of :class:`Place` objects, producing
-concrete :class:`~repro.copland.evidence.Evidence` with real
+concrete :class:`~repro.evidence.nodes.Evidence` with real
 signatures and hashes (via :mod:`repro.crypto`). The VM corresponds to
 the AVM of Petz & Alexander's "Infrastructure for Faithful Execution
 of Remote Attestation Protocols": the phrase is the program, places

@@ -14,11 +14,11 @@ story combining every resilience mechanism:
   (never crashing) the relying party,
 - a clock-skew fault churns the evidence cache.
 
-Determinism: :func:`run_chaos_athens` resets the trace-id allocator
-and seeds every RNG from its ``seed`` argument, so two runs with the
-same seed produce identical :class:`~repro.net.simulator.SimStats`
-and byte-identical audit-journal exports (pinned by
-``tests/faults/test_determinism.py``).
+Determinism: :func:`run_chaos_athens` seeds every RNG from its
+``seed`` argument and every run's simulators own fresh trace-id
+sequences, so two runs with the same seed produce identical
+:class:`~repro.net.simulator.SimStats` and byte-identical audit-journal
+exports (pinned by ``tests/faults/test_determinism.py``).
 
 :func:`run_degraded_oob` is the minimal degraded-mode scenario: an
 out-of-band switch whose appraiser is down for the whole run. The
@@ -67,13 +67,9 @@ from repro.telemetry.health import (
 from repro.telemetry.instrument import Telemetry
 from repro.telemetry.timeseries import (
     SamplingSpec,
-    install_recorder,
-    merge_frame_streams,
-    renumber_frame_times,
     timeseries_export,
     timeseries_snapshot,
 )
-from repro.telemetry.tracing import reset_trace_ids
 from repro.util.ids import spawn_seed
 
 _PACKET_GAP_S = 1e-3
@@ -181,8 +177,8 @@ class ChaosResult:
     plan: FaultPlan
     telemetry: Telemetry
     ra_counters: Dict[str, Dict[str, int]] = field(default_factory=dict)
-    #: Populated only by sharded runs: the merged runner output
-    #: (windows, lookahead, canonical metric snapshot, ...).
+    #: The merged runner output (windows, lookahead, canonical metric
+    #: snapshot, ...).
     sharded: Optional[ShardedResult] = field(default=None, repr=False)
     #: Flight-recorder output (``sampling=`` runs only): canonical
     #: merged frames, byte-identical across shard counts.
@@ -449,13 +445,6 @@ def _verdict_markers(verdicts):
     return first_rejection, recovered_at
 
 
-def _fold_alerts_into_journal(telemetry: Telemetry, health) -> None:
-    """Merge alert events into the audit journal canonically (see
-    :func:`repro.telemetry.health.fold_alerts`)."""
-    if health is not None:
-        fold_alerts(telemetry.audit, health.alerts)
-
-
 def chaos_alert_coverage(
     result: ChaosResult, within_windows: int = 2
 ) -> Dict[str, Dict[str, object]]:
@@ -571,10 +560,10 @@ def run_chaos_athens(
     every millisecond); everything else in the fault plan is anchored
     to them.
 
-    With ``shards`` given, the same deployment runs partitioned under
-    the sharded runner (:mod:`repro.net.shardrun`) on the chosen
-    ``backend``; the merged result is byte-for-byte the same story.
-    ``shards=None`` is the original monolithic path.
+    The deployment runs under :mod:`repro.net.shardrun`:
+    ``shards=None`` on the ``monolith`` backend, otherwise partitioned
+    into ``shards`` event loops on the chosen ``backend``; the merged
+    result is byte-for-byte the same story either way.
 
     ``sampling`` installs a flight recorder
     (:class:`~repro.telemetry.timeseries.SamplingSpec`); ``health``
@@ -587,104 +576,6 @@ def run_chaos_athens(
     """
     if health is not None and sampling is None:
         sampling = chaos_sampling_spec()
-    if shards is not None:
-        return _run_chaos_sharded(
-            seed, packets, swap_at, reprovision_at, shards, backend,
-            plan_factory, sampling=sampling, health=health,
-        )
-    reset_trace_ids()  # byte-identical replay needs a fresh id sequence
-    telemetry = Telemetry(active=True)
-    sim = Simulator(_chaos_topology(), seed=seed, telemetry=telemetry)
-    ctx = _chaos_build(
-        sim,
-        packets=packets,
-        swap_at=swap_at,
-        reprovision_at=reprovision_at,
-        plan_factory=plan_factory,
-    )
-    recorder = (
-        install_recorder(sim, sampling) if sampling is not None else None
-    )
-    sim.run()
-
-    frames: List[Dict[str, object]] = []
-    frames_dropped = 0
-    health_report: Optional[HealthReport] = None
-    if recorder is not None:
-        recorder.finish(sim.clock.now)
-        # Canonicalize through the same merge the sharded parent uses,
-        # so monolith output is byte-identical to every shard count.
-        frames = renumber_frame_times(
-            merge_frame_streams([recorder.frames]), sampling.interval_s
-        )
-        frames_dropped = recorder.frames_dropped
-        if health is not None:
-            health_report = evaluate_health(
-                frames, list(health), sampling.interval_s
-            )
-            _fold_alerts_into_journal(telemetry, health_report)
-
-    rp = ctx["rp"]
-    first_rejection, recovered_at = _verdict_markers(rp.verdicts)
-    return ChaosResult(
-        packets_sent=packets,
-        verdicts=list(rp.verdicts),
-        first_rejection=first_rejection,
-        recovered_at=recovered_at,
-        exfiltrated=len(ctx["spy"].received_packets),
-        collector_records=len(ctx["collector"].control_received),
-        stats=sim.stats,
-        fault_stats=ctx["injector"].stats,
-        plan=ctx["plan"],
-        telemetry=telemetry,
-        ra_counters={
-            switch.name: _ra_counters_of(switch)
-            for switch in ctx["switches"]
-        },
-        frames=frames,
-        frames_dropped=frames_dropped,
-        sampling=sampling,
-        health=health_report,
-    )
-
-
-def _chaos_harvest(sim, ctx):
-    """Per-shard picklable output: each observation is reported by the
-    shard owning its vantage point, and the parent reassembles."""
-    return {
-        "verdicts": (
-            list(ctx["rp"].verdicts) if sim.owns("h-dst") else None
-        ),
-        "exfiltrated": (
-            len(ctx["spy"].received_packets) if sim.owns("h-spy") else 0
-        ),
-        "collector_records": (
-            len(ctx["collector"].control_received)
-            if sim.owns("collector") else 0
-        ),
-        "fault_stats": {
-            spec.name: getattr(ctx["injector"].stats, spec.name)
-            for spec in dataclass_fields(ctx["injector"].stats)
-        },
-        "ra_counters": {
-            switch.name: _ra_counters_of(switch)
-            for switch in ctx["switches"]
-            if sim.owns(switch.name)
-        },
-    }
-
-
-def _run_chaos_sharded(
-    seed: int,
-    packets: int,
-    swap_at: int,
-    reprovision_at: Optional[int],
-    shards: int,
-    backend: str,
-    plan_factory: Optional[Callable[[int], FaultPlan]] = None,
-    sampling: Optional[SamplingSpec] = None,
-    health: Optional[Sequence[object]] = None,
-) -> ChaosResult:
     spec = ScenarioSpec(
         topology=_chaos_topology,
         build=partial(
@@ -697,17 +588,21 @@ def _run_chaos_sharded(
         harvest=_chaos_harvest,
         sampling=sampling,
     )
-    result = run_sharded(spec, shards=shards, backend=backend, seed=seed)
+    result = run_sharded(
+        spec,
+        shards=1 if shards is None else shards,
+        backend="monolith" if shards is None else backend,
+        seed=seed,
+    )
     health_report: Optional[HealthReport] = None
-    if sampling is not None and health is not None:
-        # Post-merge evaluation in the parent: a pure function of the
-        # canonical frame stream, so the alert timeline cannot depend
-        # on the partitioning.
+    if health is not None:
+        # Post-merge evaluation: a pure function of the canonical frame
+        # stream, so the alert timeline cannot depend on the
+        # partitioning.
         health_report = evaluate_health(
             result.frames, list(health), sampling.interval_s
         )
-        if result.telemetry is not None:
-            _fold_alerts_into_journal(result.telemetry, health_report)
+        fold_alerts(result.telemetry.audit, health_report.alerts)
     verdicts = next(
         (out["verdicts"] for out in result.outputs
          if out["verdicts"] is not None),
@@ -746,6 +641,32 @@ def _run_chaos_sharded(
         sampling=sampling,
         health=health_report,
     )
+
+
+def _chaos_harvest(sim, ctx):
+    """Per-shard picklable output: each observation is reported by the
+    shard owning its vantage point, and the parent reassembles."""
+    return {
+        "verdicts": (
+            list(ctx["rp"].verdicts) if sim.owns("h-dst") else None
+        ),
+        "exfiltrated": (
+            len(ctx["spy"].received_packets) if sim.owns("h-spy") else 0
+        ),
+        "collector_records": (
+            len(ctx["collector"].control_received)
+            if sim.owns("collector") else 0
+        ),
+        "fault_stats": {
+            spec.name: getattr(ctx["injector"].stats, spec.name)
+            for spec in dataclass_fields(ctx["injector"].stats)
+        },
+        "ra_counters": {
+            switch.name: _ra_counters_of(switch)
+            for switch in ctx["switches"]
+            if sim.owns(switch.name)
+        },
+    }
 
 
 # --- fault matrix -----------------------------------------------------------
@@ -909,7 +830,6 @@ def run_degraded_oob(
     the default fail-closed mode, accepting (flagged degraded) only
     under an explicit fail-open opt-in.
     """
-    reset_trace_ids()
     telemetry = Telemetry(active=True)
     topo = linear_topology(1)
     topo.add_node("collector", kind="host")

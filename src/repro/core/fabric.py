@@ -1,34 +1,36 @@
-"""Leaf–spine traffic fabric: the sharded runner's scale workload.
+"""The fat-tree attested-traffic campaign: the fabric-scale workload.
 
-A two-tier fabric of :class:`StaticFabricSwitch` nodes (analytic O(1)
-next-hop tables — the fabric is regular, so routing needs no BFS) with
-every host streaming packets to its partner host half the fabric away.
-Every flow crosses the spine tier, which is exactly where
-:func:`repro.net.sharding.partition_topology` cuts, so this workload
-maximally exercises the cross-shard path.
+A k-ary fat-tree of *attesting* switches (:class:`MultipathFabricSwitch`)
+carries a seeded flow-level workload — elephant/mice and web mixes in
+the fast forwarding path, plus a handful of attested flows whose
+packets ride compiled path policies through the full PISA+PERA
+pipeline. ECMP spreads bulk traffic over the equal-cost uplink sets;
+attested traffic always selects statelessly so the control plane can
+predict (and therefore compile a policy for) the exact path. Optional
+knobs add finite queues with ECN/PFC and link-local recovery, an
+incast, a corrupting link and epoch batching (docs/CONGESTION.md,
+docs/BATCHING.md).
 
-This module feeds three consumers:
+The campaign is one :class:`~repro.net.shardrun.ScenarioSpec`
+(:func:`fabric_traffic_spec`) run by :func:`run_fabric_traffic` on any
+runner backend — the ``monolith`` parity oracle, or 1/2/4 shards
+``inline`` or ``mp`` — with byte-identical merged outputs. It feeds
+``benchmarks/bench_fabric_traffic.py``, ``bench_fct_congestion.py``,
+``bench_shard_scaling.py`` (a bulk-only shape), the campaign benchmark
+under ``perfbench/`` and the determinism tests.
 
-- ``benchmarks/bench_shard_scaling.py`` — pkts/sec vs shard count on a
-  100+-switch fabric,
-- ``tests/core/test_sharded_determinism.py`` — the seed-sweep
-  byte-identity contract, including the chaos variant with an
-  installed :class:`~repro.faults.FaultPlan`,
-- the CI chaos-smoke job, which replays the campaign at ``shards=2``
-  on the multiprocessing backend.
-
-Send times are staggered so no two hosts transmit at the same instant:
-same-time events at one destination arriving from *different* shards
-are the one ordering the canonical merge cannot pin (see
-docs/SHARDING.md), and a well-formed workload simply avoids minting
-them.
+Flow start times are staggered so no two sends collide at one
+instant: same-time events at one destination arriving from
+*different* shards are the one ordering the canonical merge cannot pin
+(see docs/SHARDING.md), and a well-formed workload simply avoids
+minting them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,9 +58,6 @@ from repro.net.routing import (
     predict_multipath_path,
 )
 from repro.net.shardrun import ScenarioSpec, ShardedResult, run_sharded
-from repro.net.simulator import Node, Simulator
-from repro.telemetry.instrument import Telemetry
-from repro.telemetry.tracing import reset_trace_ids
 from repro.telemetry.health import (
     AbsenceRule,
     HealthReport,
@@ -70,14 +69,11 @@ from repro.telemetry.health import (
 )
 from repro.telemetry.timeseries import (
     SamplingSpec,
-    install_recorder,
-    merge_frame_streams,
-    renumber_frame_times,
     timeseries_export,
     timeseries_snapshot,
 )
 from repro.net.qdisc import QueueConfig
-from repro.net.topology import Topology, fat_tree, leaf_spine
+from repro.net.topology import Topology, fat_tree
 from repro.pera.config import (
     BatchingSpec,
     CompositionMode,
@@ -100,246 +96,8 @@ from repro.workload.mixes import (
     web_session_mix,
 )
 
-#: Gap between a host's consecutive sends.
+#: One send round of the fabric workload; sets the sampling cadence.
 _ROUND_GAP_S = 50e-6
-
-
-class StaticFabricSwitch(Node):
-    """A forwarding-only switch with a precomputed dst-ip → port map.
-
-    No attestation, no telemetry of its own — this is the dataplane
-    load generator, so per-packet work stays O(1) and benchmark numbers
-    measure the event engine, not the switch model.
-    """
-
-    def __init__(self, name: str, ports_by_dst_ip: Dict[int, int]) -> None:
-        super().__init__(name)
-        self.ports_by_dst_ip = ports_by_dst_ip
-        self.packets_forwarded = 0
-        self.packets_dropped_unroutable = 0
-
-    def handle_packet(self, packet: Packet, in_port: int) -> None:
-        if packet.ipv4 is None:
-            return
-        port = self.ports_by_dst_ip.get(packet.ipv4.dst)
-        if port is None:
-            self.packets_dropped_unroutable += 1
-            return
-        self.packets_forwarded += 1
-        self.sim.transmit(self.name, port, packet)
-
-
-@dataclass(frozen=True)
-class FabricShape:
-    """Dimensions of one leaf–spine fabric workload."""
-
-    leaves: int = 8
-    spines: int = 2
-    hosts_per_leaf: int = 2
-    flows_per_host: int = 4
-
-    @property
-    def switch_count(self) -> int:
-        return self.leaves + self.spines
-
-    @property
-    def host_count(self) -> int:
-        return self.leaves * self.hosts_per_leaf
-
-    @property
-    def packets_offered(self) -> int:
-        return self.host_count * self.flows_per_host
-
-
-def _host_ip(leaf_index: int, host_index: int) -> int:
-    return ip_to_int(f"10.{leaf_index % 250}.{host_index % 250}.1")
-
-
-def _fabric_names(shape: FabricShape) -> Tuple[List[str], List[str]]:
-    width = max(2, len(str(max(shape.leaves, shape.spines) - 1)))
-    leaf_names = [f"leaf{i:0{width}d}" for i in range(shape.leaves)]
-    spine_names = [f"spine{i:0{width}d}" for i in range(shape.spines)]
-    return leaf_names, spine_names
-
-
-def fabric_topology(shape: FabricShape) -> Topology:
-    return leaf_spine(shape.leaves, shape.spines, shape.hosts_per_leaf)
-
-
-def _fabric_chaos_plan(seed: int, shape: FabricShape) -> FaultPlan:
-    """Mid-run turbulence on two uplinks: extra loss on one, a flap on
-    another — enough to drop packets through the shard-invariant fault
-    streams without silencing the fabric."""
-    leaf_names, spine_names = _fabric_names(shape)
-    plan = FaultPlan(seed=seed)
-    plan.link_loss(2 * _ROUND_GAP_S, leaf_names[0], spine_names[0], rate=0.4)
-    plan.link_loss(
-        (shape.flows_per_host + 2) * _ROUND_GAP_S,
-        leaf_names[0],
-        spine_names[0],
-        rate=0.0,
-    )
-    if shape.leaves > 1:
-        plan.link_flap(
-            3 * _ROUND_GAP_S,
-            leaf_names[1],
-            spine_names[-1],
-            down_s=0.6 * _ROUND_GAP_S,
-            up_s=1.3 * _ROUND_GAP_S,
-            cycles=2,
-        )
-    return plan
-
-
-def _fabric_build(sim, shape: FabricShape, chaos: bool):
-    """Bind the full fabric into ``sim`` and schedule every flow.
-
-    Runs identically on every shard; ownership gates single out who
-    actually transmits. Each host ``(leaf l, slot j)`` streams
-    ``flows_per_host`` packets to the host at the same slot half the
-    fabric away — every packet crosses a spine, i.e. the shard cut.
-    """
-    leaf_names, spine_names = _fabric_names(shape)
-    hosts: List[Tuple[int, int, str]] = [
-        (li, j, f"h-{leaf}-{j}")
-        for li, leaf in enumerate(leaf_names)
-        for j in range(shape.hosts_per_leaf)
-    ]
-    ip_of = {name: _host_ip(li, j) for li, j, name in hosts}
-    mac_of = {name: index + 1 for index, (_, _, name) in enumerate(hosts)}
-
-    for li, leaf in enumerate(leaf_names):
-        table: Dict[int, int] = {}
-        for lj, j, name in hosts:
-            if lj == li:
-                table[ip_of[name]] = 1 + j
-            else:
-                # Deterministic ECMP: the destination leaf picks the
-                # spine, so both directions of a flow agree on nothing
-                # but the math.
-                table[ip_of[name]] = (
-                    shape.hosts_per_leaf + 1 + (lj % shape.spines)
-                )
-        sim.bind(StaticFabricSwitch(leaf, table))
-    for spine in spine_names:
-        table = {ip_of[name]: 1 + lj for lj, _, name in hosts}
-        sim.bind(StaticFabricSwitch(spine, table))
-
-    host_objs: Dict[str, Host] = {}
-    for li, j, name in hosts:
-        host = Host(name, mac=mac_of[name], ip=ip_of[name])
-        sim.bind(host)
-        host_objs[name] = host
-
-    injector = None
-    if chaos:
-        injector = FaultInjector(_fabric_chaos_plan(sim.seed, shape))
-        injector.attach(sim)
-
-    half = max(1, shape.leaves // 2)
-    stagger = _ROUND_GAP_S / (len(hosts) + 1)
-    for round_index in range(shape.flows_per_host):
-        for host_index, (li, j, name) in enumerate(hosts):
-            peer = f"h-{leaf_names[(li + half) % shape.leaves]}-{j}"
-            when = round_index * _ROUND_GAP_S + host_index * stagger
-            sim.schedule_on(
-                name,
-                when,
-                lambda s=host_objs[name], ip=ip_of[peer], mac=mac_of[peer],
-                seq=round_index: s.send_udp(
-                    dst_mac=mac, dst_ip=ip,
-                    src_port=40000, dst_port=9000,
-                    payload=seq.to_bytes(2, "big"),
-                ),
-            )
-    return {"hosts": host_objs, "injector": injector, "shape": shape}
-
-
-def _fabric_harvest(sim, ctx):
-    delivered = {
-        name: len(host.received)
-        for name, host in ctx["hosts"].items()
-        if sim.owns(name)
-    }
-    return {
-        "delivered": sum(delivered.values()),
-        "delivered_by_host": delivered,
-    }
-
-
-def fabric_spec(shape: FabricShape, chaos: bool = False) -> ScenarioSpec:
-    """The fabric workload as a runner-ready :class:`ScenarioSpec`."""
-    return ScenarioSpec(
-        topology=partial(fabric_topology, shape),
-        build=partial(_fabric_build, shape=shape, chaos=chaos),
-        harvest=_fabric_harvest,
-    )
-
-
-@dataclass
-class FabricRunResult:
-    """Merged outcome of one sharded fabric run."""
-
-    shape: FabricShape
-    delivered: int
-    result: ShardedResult
-
-    @property
-    def packets_transmitted(self) -> int:
-        return self.result.stats.packets_transmitted
-
-
-def run_fabric_monolith(
-    shape: Optional[FabricShape] = None,
-    seed: int = 0,
-    chaos: bool = False,
-) -> Tuple[Simulator, int]:
-    """The same workload on the unpartitioned :class:`Simulator`.
-
-    The scaling benchmark's baseline row: no windows, no barriers, no
-    merge — just the plain event loop. ``schedule_on`` is an identity
-    on the monolith, so the build is shared verbatim with the sharded
-    path. Returns ``(sim, packets_delivered)``.
-    """
-    shape = shape or FabricShape()
-    sim = Simulator(fabric_topology(shape), seed=seed)
-    ctx = _fabric_build(sim, shape=shape, chaos=chaos)
-    sim.run()
-    delivered = sum(len(host.received) for host in ctx["hosts"].values())
-    return sim, delivered
-
-
-def run_fabric(
-    shape: Optional[FabricShape] = None,
-    shards: int = 1,
-    backend: str = "inline",
-    seed: int = 0,
-    chaos: bool = False,
-    telemetry_active: bool = True,
-) -> FabricRunResult:
-    """Run the fabric workload sharded and return the merged result."""
-    shape = shape or FabricShape()
-    result = run_sharded(
-        fabric_spec(shape, chaos=chaos),
-        shards=shards,
-        backend=backend,
-        seed=seed,
-        telemetry_active=telemetry_active,
-    )
-    delivered = sum(out["delivered"] for out in result.outputs)
-    return FabricRunResult(shape=shape, delivered=delivered, result=result)
-
-
-# --- fat-tree attested traffic campaign --------------------------------------
-#
-# The second, heavier consumer of this module: a k-ary fat-tree of
-# *attesting* switches (``MultipathFabricSwitch``) carrying a seeded
-# flow-level workload — elephant/mice and web mixes in the fast
-# forwarding path, plus a handful of attested flows whose packets ride
-# compiled path policies through the full PISA+PERA pipeline. ECMP
-# spreads bulk traffic over the equal-cost uplink sets; attested
-# traffic always selects statelessly so the control plane can predict
-# (and therefore compile a policy for) the exact path.
 
 _ATTESTED_FLOW_BASE = 1_000_000
 _WEB_FLOW_BASE = 500_000
@@ -1060,15 +818,11 @@ class FabricTrafficResult:
     result: Optional[ShardedResult] = None
     #: Flight-recorder output (``sampling=`` runs only): canonical
     #: merged frames, byte-identical across shard counts.
-    frames: List[Dict[str, object]] = None  # type: ignore[assignment]
+    frames: List[Dict[str, object]] = field(default_factory=list)
     frames_dropped: int = 0
     sampling: Optional[SamplingSpec] = None
     #: Health evaluation over the frames (``health=`` runs only).
     health: Optional[HealthReport] = None
-
-    def __post_init__(self) -> None:
-        if self.frames is None:
-            self.frames = []
 
     def frames_export(self) -> str:
         """Canonical JSON of the frame stream (byte-identity checks)."""
@@ -1141,13 +895,11 @@ def fabric_traffic_spec(
 def _assemble_traffic_result(
     shape: FatTreeShape,
     seed: int,
-    outputs: List[Dict[str, object]],
-    result: Optional[ShardedResult],
-    frames: Optional[List[Dict[str, object]]] = None,
-    frames_dropped: int = 0,
-    sampling: Optional[SamplingSpec] = None,
-    health: Optional[HealthReport] = None,
+    result: ShardedResult,
+    sampling: Optional[SamplingSpec],
+    health: Optional[HealthReport],
 ) -> FabricTrafficResult:
+    outputs = result.outputs
     arrivals: Dict[int, List[float]] = {}
     verdicts: Dict[int, Tuple[int, int]] = {}
     tx_by_port: Dict[str, Dict[int, int]] = {}
@@ -1183,8 +935,8 @@ def _assemble_traffic_result(
         tx_by_port=tx_by_port,
         victim=victim,
         result=result,
-        frames=list(frames) if frames is not None else [],
-        frames_dropped=frames_dropped,
+        frames=list(result.frames),
+        frames_dropped=result.frames_dropped,
         sampling=sampling,
         health=health,
     )
@@ -1201,13 +953,15 @@ def run_fabric_traffic(
     sampling: Optional[SamplingSpec] = None,
     health: Optional[Sequence[object]] = None,
 ) -> FabricTrafficResult:
-    """Run the attested fat-tree campaign sharded; merged result.
+    """Run the attested fat-tree campaign; merged result.
 
-    ``sampling=`` installs a per-shard flight recorder (frames merge
+    ``backend`` is any :data:`~repro.net.shardrun.BACKENDS` choice:
+    ``"monolith"`` (with ``shards=1``) is the plain-event-loop parity
+    oracle. ``sampling=`` installs a flight recorder (frames merge
     canonically, see docs/MONITORING.md); ``health=`` evaluates rules
-    over the merged frames post-merge and folds the alert timeline
-    into the audit journal. Passing ``health=`` alone implies the
-    default :func:`fabric_sampling_spec`.
+    over the merged frames and folds the alert timeline into the audit
+    journal. Passing ``health=`` alone implies the default
+    :func:`fabric_sampling_spec`.
     """
     shape = shape or FatTreeShape()
     if health is not None and sampling is None:
@@ -1222,103 +976,24 @@ def run_fabric_traffic(
         telemetry_active=telemetry_active,
     )
     health_report = None
-    if health is not None and sampling is not None:
+    if health is not None:
         health_report = evaluate_health(
             result.frames, list(health), sampling.interval_s
         )
         fold_alerts(result.telemetry.audit, health_report.alerts)
     return _assemble_traffic_result(
-        shape,
-        seed,
-        result.outputs,
-        result,
-        frames=result.frames,
-        frames_dropped=result.frames_dropped,
-        sampling=sampling,
-        health=health_report,
-    )
-
-
-def run_fabric_traffic_monolith(
-    shape: Optional[FatTreeShape] = None,
-    seed: int = 0,
-    max_events: int = 8_000_000,
-    until: Optional[float] = None,
-    sampling: Optional[SamplingSpec] = None,
-    health: Optional[Sequence[object]] = None,
-) -> FabricTrafficResult:
-    """The same campaign on the unpartitioned :class:`Simulator`.
-
-    The parity baseline: ``schedule_on``/``owns`` are identities on the
-    monolith, so build, drain, and harvest are shared verbatim with the
-    sharded path; ``result`` is ``None``. The flight recorder is
-    finished *before* harvest, matching the sharded runner (which
-    finishes it in ``finalize()``), so harvest-time appraisals land in
-    metric snapshots but never in frames on either path.
-    """
-    shape = shape or FatTreeShape()
-    if health is not None and sampling is None:
-        sampling = fabric_sampling_spec()
-    # The recorder samples the metrics registry, so a sampling= run
-    # needs live telemetry — the same Telemetry(active=True) every
-    # shard of the sharded runner builds. Without sampling the
-    # monolith keeps its historical null-telemetry default.
-    telemetry = Telemetry(active=True) if sampling is not None else None
-    if telemetry is not None:
-        reset_trace_ids()
-    sim = Simulator(
-        _fabric_traffic_topology(shape), seed=seed, telemetry=telemetry
-    )
-    ctx = _fabric_traffic_build(sim, shape=shape)
-    if sampling is not None:
-        install_recorder(sim, sampling)
-    sim.run(until=until, max_events=max_events)
-    _fabric_traffic_drain(sim, ctx)
-    sim.run(until=until, max_events=max_events)
-    frames: List[Dict[str, object]] = []
-    frames_dropped = 0
-    if sampling is not None:
-        recorder = sim.recorder
-        recorder.finish(sim.clock.now)
-        frames = renumber_frame_times(
-            merge_frame_streams([recorder.frames]), sampling.interval_s
-        )
-        frames_dropped = recorder.frames_dropped
-    output = _fabric_traffic_harvest(sim, ctx)
-    health_report = None
-    if health is not None and sampling is not None:
-        health_report = evaluate_health(
-            frames, list(health), sampling.interval_s
-        )
-        fold_alerts(sim.telemetry.audit, health_report.alerts)
-    return _assemble_traffic_result(
-        shape,
-        seed,
-        [output],
-        None,
-        frames=frames,
-        frames_dropped=frames_dropped,
-        sampling=sampling,
-        health=health_report,
+        shape, seed, result, sampling=sampling, health=health_report
     )
 
 
 __all__ = [
     "FABRIC_SAMPLE_INTERVAL_S",
-    "FabricShape",
-    "FabricRunResult",
     "FabricTrafficResult",
     "FatTreeShape",
     "MultipathFabricSwitch",
-    "StaticFabricSwitch",
     "fabric_sampling_spec",
-    "fabric_spec",
-    "fabric_topology",
     "fabric_traffic_spec",
-    "run_fabric",
-    "run_fabric_monolith",
     "run_fabric_traffic",
-    "run_fabric_traffic_monolith",
     "run_sharded",
     "standard_fabric_rules",
 ]

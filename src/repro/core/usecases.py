@@ -70,26 +70,30 @@ def _install_routing(switch, dst_net: str, port: int) -> None:
     ))
 
 
-def _pera_chain(switch_count: int, config: EvidenceConfig, programs=None):
-    """Standard h-src — s1..sN — h-dst chain of network-aware switches."""
-    topo = linear_topology(switch_count)
-    sim = Simulator(topo)
+def _bind_chain(sim, config: EvidenceConfig, programs):
+    """Bind h-src — s1..sN — h-dst (one network-aware switch per
+    program) into ``sim``."""
     src = Host("h-src", mac=0x1, ip=ip_to_int("10.0.0.1"))
     dst = Host("h-dst", mac=0x2, ip=ip_to_int("10.0.1.1"))
     sim.bind(src)
     sim.bind(dst)
     switches = []
-    for i in range(1, switch_count + 1):
+    for i, program in enumerate(programs, start=1):
         switch = NetworkAwarePeraSwitch(f"s{i}", config=config)
         sim.bind(switch)
         switch.runtime.arbitrate("ctl", 1)
-        program = (
-            programs[i - 1] if programs is not None
-            else ipv4_forwarding_program()
-        )
         switch.runtime.set_forwarding_pipeline_config("ctl", program)
         _install_routing(switch, "10.0.1.0", 2)
         switches.append(switch)
+    return src, dst, switches
+
+
+def _pera_chain(switch_count: int, config: EvidenceConfig, programs=None):
+    """Standard h-src — s1..sN — h-dst chain of network-aware switches."""
+    sim = Simulator(linear_topology(switch_count))
+    if programs is None:
+        programs = [ipv4_forwarding_program() for _ in range(switch_count)]
+    src, dst, switches = _bind_chain(sim, config, programs)
     return sim, src, dst, switches
 
 
@@ -114,6 +118,9 @@ def _appraiser_for(switches, programs, allow_sampling=False) -> PathAppraiser:
             program_names=program_names,
             allow_sampling=allow_sampling,
         ),
+        # Verdicts join the deployment's own journal, next to the
+        # evidence they judge.
+        telemetry=switches[0].sim.telemetry if switches else None,
     )
 
 
@@ -127,9 +134,9 @@ class ConfigAssuranceResult:
     first_rejection: Optional[int]
     swap_at: Optional[int]
     exfiltrated: int
-    #: Populated only by sharded runs (``shards=`` given): the merged
-    #: runner output, carrying the canonical audit/metrics/stats the
-    #: determinism tests compare across shard counts.
+    #: The merged runner output, carrying the canonical
+    #: audit/metrics/stats (and the run's telemetry) the determinism
+    #: tests compare across backends and shard counts.
     sharded: Optional[ShardedResult] = field(default=None, repr=False)
 
     @property
@@ -160,79 +167,47 @@ def run_config_assurance(
     rejects from the swap on — with per-packet attestation, at the very
     first rogue packet.
 
-    With ``shards`` given, the deployment runs under the sharded
-    runner (:mod:`repro.net.shardrun`) partitioned into that many
-    event loops on the chosen ``backend``; the result additionally
-    carries the merged :class:`~repro.net.shardrun.ShardedResult` in
-    ``.sharded``. ``shards=None`` is the original monolithic path.
+    The deployment runs under :mod:`repro.net.shardrun`:
+    ``shards=None`` on the ``monolith`` backend, otherwise partitioned
+    into ``shards`` event loops on the chosen ``backend``. The merged
+    :class:`~repro.net.shardrun.ShardedResult` (canonical journal,
+    metrics and telemetry) is in ``.sharded``.
     """
-    if shards is not None:
-        return _run_config_assurance_sharded(
-            packets, swap_at, sampling, switch_count, batching,
-            shards, backend, seed,
-        )
-    config = EvidenceConfig(
-        detail=DetailLevel.MINIMAL,
-        composition=CompositionMode.CHAINED,
-        sampling=sampling or SamplingSpec(),
-        batching=batching,
+    spec = ScenarioSpec(
+        topology=partial(_uc1_topology, switch_count),
+        build=partial(
+            _uc1_build,
+            packets=packets,
+            swap_at=swap_at,
+            sampling=sampling,
+            batching=batching,
+            switch_count=switch_count,
+        ),
+        harvest=_uc1_harvest,
+        drain=_uc1_drain if batching is not None else None,
     )
-    genuine = firewall_program()
-    sim, src, dst, switches = _pera_chain(
-        switch_count, config, programs=[genuine] * switch_count
+    result = run_sharded(
+        spec,
+        shards=1 if shards is None else shards,
+        backend="monolith" if shards is None else backend,
+        seed=seed,
     )
-    # The spy host hangs off s1's port 3.
-    sim.topology.add_node("h-spy", kind="host")
-    sim.topology.add_link("s1", 3, "h-spy", 1)
-    spy = Host("h-spy", mac=0x3, ip=ip_to_int("10.9.9.9"))
-    sim.bind(spy)
-
-    appraiser = _appraiser_for(
-        switches, [genuine] * switch_count,
-        allow_sampling=sampling is not None
-        and sampling.mode is not SamplingMode.EVERY_PACKET,
+    verdicts = next(
+        (out["verdicts"] for out in result.outputs
+         if out["verdicts"] is not None),
+        [],
     )
-    policy = compile_policy_for_path(
-        ap1_bank_path_attestation(),
-        path=["h-src"] + [s.name for s in switches] + ["h-dst"],
-        bindings={"client": "h-dst"},
-        composition=CompositionMode.CHAINED,
-    )
-    shim_body = encode_compiled_policy(policy)
-
-    for index in range(packets):
-        def fire(seq=index):
-            if swap_at is not None and seq == swap_at:
-                _uc1_athens_swap(switches[0])
-            src.send_udp(
-                dst_mac=dst.mac, dst_ip=dst.ip, src_port=1000, dst_port=2000,
-                payload=seq.to_bytes(4, "big"),
-                ra_shim=RaShimHeader(
-                    flags=RaShimHeader.FLAG_POLICY, body=shim_body
-                ),
-            )
-        sim.schedule(index * 1e-3, fire)
-    sim.run()
-    if batching is not None:
-        # Seal any epoch still open (max_delay_s=0 configs) and deliver
-        # the packets its seal released.
-        for switch in switches:
-            switch.flush_epochs()
-        sim.run()
-
-    verdicts = [
-        appraiser.appraise_packet(packet, compiled=policy)
-        for packet in dst.received_packets
-    ]
     first_rejection = next(
-        (i for i, verdict in enumerate(verdicts) if not verdict.accepted), None
+        (i for i, verdict in enumerate(verdicts) if not verdict.accepted),
+        None,
     )
     return ConfigAssuranceResult(
         packets_sent=packets,
         verdicts=verdicts,
         first_rejection=first_rejection,
         swap_at=swap_at,
-        exfiltrated=len(spy.received_packets),
+        exfiltrated=sum(out["exfiltrated"] for out in result.outputs),
+        sharded=result,
     )
 
 
@@ -264,14 +239,13 @@ def _uc1_athens_swap(switch) -> None:
     switch.notify_state_change(InertiaClass.PROGRAM)
 
 
-# --- UC1, sharded -------------------------------------------------------------
+# --- UC1 as a runner scenario -------------------------------------------------
 #
-# The same deployment expressed as a ScenarioSpec for the sharded
-# runner. Every shard builds the complete world — hosts, switches,
-# programs, routing — so control-plane state and appraisal anchors are
-# replicated deterministically; the simulator's ownership gates make
-# each scheduled action (the swap on s1's shard, each send on h-src's)
-# fire exactly once across the fleet.
+# Every shard builds the complete world — hosts, switches, programs,
+# routing — so control-plane state and appraisal anchors are replicated
+# deterministically; the simulator's ownership gates make each
+# scheduled action (the swap on s1's shard, each send on h-src's) fire
+# exactly once across the fleet. On the monolith every gate is open.
 
 
 def _uc1_topology(switch_count: int) -> Topology:
@@ -296,18 +270,7 @@ def _uc1_build(
         batching=batching,
     )
     genuine = firewall_program()
-    src = Host("h-src", mac=0x1, ip=ip_to_int("10.0.0.1"))
-    dst = Host("h-dst", mac=0x2, ip=ip_to_int("10.0.1.1"))
-    sim.bind(src)
-    sim.bind(dst)
-    switches = []
-    for i in range(1, switch_count + 1):
-        switch = NetworkAwarePeraSwitch(f"s{i}", config=config)
-        sim.bind(switch)
-        switch.runtime.arbitrate("ctl", 1)
-        switch.runtime.set_forwarding_pipeline_config("ctl", genuine)
-        _install_routing(switch, "10.0.1.0", 2)
-        switches.append(switch)
+    src, dst, switches = _bind_chain(sim, config, [genuine] * switch_count)
     spy = Host("h-spy", mac=0x3, ip=ip_to_int("10.9.9.9"))
     sim.bind(spy)
 
@@ -371,48 +334,12 @@ def _uc1_harvest(sim, ctx):
 
 
 def _uc1_drain(sim, ctx) -> None:
-    """Barrier-synced equivalent of the monolith's flush-then-run: seal
-    epochs still open on this shard's switches so their releases (and
-    parked packets) enter the next window cycle."""
+    """Seal epochs still open (``max_delay_s=0`` configs) on this
+    shard's switches so their releases — and the packets they parked —
+    enter the next run cycle."""
     for switch in ctx["switches"]:
         if sim.owns(switch.name):
             switch.flush_epochs()
-
-
-def _run_config_assurance_sharded(
-    packets, swap_at, sampling, switch_count, batching, shards, backend, seed
-) -> ConfigAssuranceResult:
-    spec = ScenarioSpec(
-        topology=partial(_uc1_topology, switch_count),
-        build=partial(
-            _uc1_build,
-            packets=packets,
-            swap_at=swap_at,
-            sampling=sampling,
-            batching=batching,
-            switch_count=switch_count,
-        ),
-        harvest=_uc1_harvest,
-        drain=_uc1_drain if batching is not None else None,
-    )
-    result = run_sharded(spec, shards=shards, backend=backend, seed=seed)
-    verdicts = next(
-        (out["verdicts"] for out in result.outputs
-         if out["verdicts"] is not None),
-        [],
-    )
-    first_rejection = next(
-        (i for i, verdict in enumerate(verdicts) if not verdict.accepted),
-        None,
-    )
-    return ConfigAssuranceResult(
-        packets_sent=packets,
-        verdicts=verdicts,
-        first_rejection=first_rejection,
-        swap_at=swap_at,
-        exfiltrated=sum(out["exfiltrated"] for out in result.outputs),
-        sharded=result,
-    )
 
 
 # --- UC2: path evidence as an authentication factor ------------------------------

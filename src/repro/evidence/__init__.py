@@ -18,9 +18,8 @@ is the one canonical model they all share:
 - :mod:`repro.evidence.verify` — memoized signature verification keyed
   by (key id, message digest, signature).
 
-The historical import paths (``repro.copland.evidence``,
-``repro.pera.records``) remain as thin views/re-exports over this
-package.
+:mod:`repro.copland` re-exports the node types, and
+:mod:`repro.pera.records` remains a thin view over this package.
 """
 
 from repro.evidence.nodes import (

@@ -14,7 +14,6 @@ from repro.net.headers import RaShimHeader
 from repro.net.packet import Packet
 from repro.net.simulator import Node
 from repro.telemetry.audit import AuditKind
-from repro.telemetry.tracing import start_trace
 from repro.util.errors import NetworkError
 
 
@@ -57,7 +56,7 @@ class Host(Node):
             return packet
         tel = self.sim.telemetry
         if tel.active and traced and packet.trace is None:
-            packet = packet.with_trace(start_trace(self.name))
+            packet = packet.with_trace(self.sim.trace_ids.start(self.name))
             tel.audit_event(
                 AuditKind.TRACE_STARTED,
                 self.name,

@@ -258,7 +258,6 @@ class ShardSimulator(Simulator):
         self._processed_accum = 0
         self._uncounted_accum = 0
         self._finalized = False
-        self.busy_seconds = 0.0
 
     # --- ownership ----------------------------------------------------------
 

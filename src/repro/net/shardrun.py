@@ -1,14 +1,24 @@
-"""The sharded runner: drive N :class:`ShardSimulator` loops to one
-merged, canonical result.
+"""The campaign runner: drive a scenario to one merged, canonical
+result — on one plain event loop or on N :class:`ShardSimulator` loops.
 
-Two backends run the identical barrier protocol:
+Three backends run the same scenario through the same steps (build,
+install the recorder, run to idle, drain, finish, harvest, merge):
 
-* ``inline`` — every shard in this process, stepped round-robin. This
-  is the reference implementation and the fast path on small machines
-  (the window engine batches heap work, so even 1 "shard" under the
-  runner outruns the monolithic event loop on fabric-scale runs).
+* ``monolith`` — one plain :class:`~repro.net.simulator.Simulator`,
+  no windows: ``run()``, drain, ``run()`` until idle. The parity
+  oracle: every partitioned run must merge to its exact bytes.
+* ``inline`` — every shard in this process, stepped round-robin
+  through the window barrier. The reference sharded engine and the
+  fast path on small machines (the window engine batches heap work,
+  so even 1 "shard" outruns the plain event loop on fabric runs).
 * ``mp`` — one ``multiprocessing`` worker per shard (fork start
   method), a pipe per worker, one message round-trip per window.
+
+``inline`` and ``mp`` share one barrier loop over shard handles that
+answer ``step``/``drain``/``finish``; the ``mp`` handle polls its pipe
+against :data:`WORKER_REPLY_DEADLINE_S`, so a dead, failing or wedged
+worker raises a :class:`~repro.util.errors.NetworkError` naming the
+shard and window instead of hanging the parent.
 
 Whatever the backend or shard count, the *merge* is canonical:
 :meth:`~repro.net.simulator.SimStats.merge` folds stats field-wise,
@@ -16,9 +26,9 @@ metric snapshots merge by label
 (:func:`repro.telemetry.metrics.merge_snapshots`), and audit streams
 merge into one journal ordered by ``(sim_time, trace_id, seq)``
 (:func:`repro.telemetry.audit.merge_audit_events`). The runner
-canonicalizes even at one shard, so ``shards=1`` output is the
-byte-identical baseline the determinism tests pin 2- and 4-shard runs
-against.
+canonicalizes even at one shard, so ``monolith`` and ``shards=1``
+output is the byte-identical baseline the determinism tests pin 2- and
+4-shard runs against.
 
 The scenario contract is a :class:`ScenarioSpec`: a topology (or
 factory), a ``build(sim)`` callable that constructs the *full* world
@@ -33,7 +43,9 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.net.sharding import (
@@ -42,7 +54,7 @@ from repro.net.sharding import (
     ShardSimulator,
     partition_topology,
 )
-from repro.net.simulator import SimStats
+from repro.net.simulator import SimStats, Simulator
 from repro.net.topology import Topology
 from repro.telemetry.audit import merge_audit_events
 from repro.telemetry.instrument import Telemetry
@@ -53,14 +65,22 @@ from repro.telemetry.timeseries import (
     merge_frame_streams,
     renumber_frame_times,
 )
-from repro.telemetry.tracing import reset_trace_ids
 from repro.util.errors import NetworkError
 
-BACKENDS = ("inline", "mp")
+BACKENDS = ("monolith", "inline", "mp")
 
 #: Runaway guard on the drain/resume cycle (a drain hook that keeps
 #: scheduling fresh work forever is a scenario bug, not a slow run).
 MAX_DRAIN_ROUNDS = 64
+
+#: How long the parent waits for any one reply from an ``mp`` worker
+#: before declaring it hung. A reply covers one build, window, drain or
+#: harvest — seconds even for large campaigns; this is the backstop
+#: that turns a wedged worker into an error instead of a hang.
+WORKER_REPLY_DEADLINE_S = 300.0
+
+#: The poll slice between liveness checks while awaiting a reply.
+_POLL_SLICE_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -79,8 +99,8 @@ class ScenarioSpec:
     may schedule fresh events (the canonical use: sealing still-open
     evidence epochs, whose releases forward parked packets). The
     runner then resumes the window loop, repeating until a drain round
-    leaves all shards idle — the sharded equivalent of the monolith's
-    "flush, then run() again" idiom.
+    leaves all shards idle — the ``monolith`` backend does the same
+    between plain ``run()`` calls.
 
     ``sampling``, when given, installs a
     :class:`~repro.telemetry.timeseries.FlightRecorder` on every shard;
@@ -168,22 +188,39 @@ def _worker_opts(runner: "ShardedRunner", max_events: int) -> Dict[str, Any]:
     }
 
 
-def _build_shard(
-    spec: ScenarioSpec,
-    topology: Topology,
-    partition: Partition,
-    shard_id: int,
-    opts: Dict[str, Any],
-) -> tuple:
-    """Construct one shard's simulator and run the scenario build."""
-    telemetry = Telemetry(active=opts["telemetry_active"])
-    sim = ShardSimulator(
-        topology,
-        partition,
-        shard_id,
+def _next_start(
+    next_times: List[Optional[float]],
+    pending: List[List[tuple]],
+    until: Optional[float],
+) -> Optional[float]:
+    """The next window's start time, or None when the run is over
+    (no pending work, or all of it beyond ``until``)."""
+    times = [t for t in next_times if t is not None]
+    times.extend(entry[0] for queue in pending for entry in queue)
+    if not times:
+        return None
+    start = min(times)
+    if until is not None and start > until:
+        return None
+    return start
+
+
+def _check_drain_rounds(rounds: int) -> None:
+    if rounds > MAX_DRAIN_ROUNDS:
+        raise NetworkError(
+            "scenario drain hook kept scheduling work after "
+            f"{MAX_DRAIN_ROUNDS} rounds"
+        )
+
+
+def _build(spec: ScenarioSpec, opts: Dict[str, Any], simulator, *where):
+    """Construct one event loop — a :class:`Simulator` or a
+    :class:`ShardSimulator` — and run the scenario build on it."""
+    sim = simulator(
+        *where,
         seed=opts["seed"],
         control_latency_s=opts["control_latency_s"],
-        telemetry=telemetry,
+        telemetry=Telemetry(active=opts["telemetry_active"]),
     )
     ctx = spec.build(sim)
     if spec.sampling is not None:
@@ -192,10 +229,11 @@ def _build_shard(
 
 
 def _finish_shard(
-    spec: ScenarioSpec, sim: ShardSimulator, ctx: Any, until: Optional[float]
+    spec: ScenarioSpec, sim: Simulator, ctx: Any, until: Optional[float]
 ) -> Dict[str, Any]:
-    """Advance to ``until``, run the final barrier, and bundle the
-    shard's picklable contribution to the merge."""
+    """Advance to the run's end time (``until``, or the latest shard
+    clock), run the final barrier, and bundle the shard's picklable
+    contribution to the merge."""
     if until is not None:
         sim.clock.advance_to(until)
     # Ticks due at the final clock fire *before* the barrier sweep, so
@@ -220,62 +258,123 @@ def _finish_shard(
     }
 
 
+def _run_monolith(
+    spec: ScenarioSpec,
+    topology: Topology,
+    opts: Dict[str, Any],
+    until: Optional[float],
+) -> Dict[str, Any]:
+    """The ``monolith`` backend: one plain :class:`Simulator`, no
+    windows — ``run()``, then drain and ``run()`` again until idle.
+
+    The parity oracle: it shares build, drain, harvest and the finish
+    steps with the shards, so its bundle must merge to the same bytes
+    as any partitioning of the same scenario."""
+    sim, ctx = _build(spec, opts, Simulator, topology)
+    sim.run(until=until, max_events=opts["max_events"])
+    rounds = 0
+    while spec.drain is not None:
+        rounds += 1
+        _check_drain_rounds(rounds)
+        sim.pump_recorder()
+        spec.drain(sim, ctx)
+        if _next_start([sim.next_event_time()], [], until) is None:
+            break
+        sim.run(until=until, max_events=opts["max_events"])
+    return _finish_shard(spec, sim, ctx, until)
+
+
+class _LocalShard:
+    """A shard stepped in this process: the ``inline`` backend's handle
+    and, inside each worker, the ``mp`` backend's engine.
+
+    Every command (``step``/``drain``/``finish``) runs at once and
+    leaves its result for :meth:`reply`.
+    """
+
+    def __init__(
+        self,
+        spec: ScenarioSpec,
+        topology: Topology,
+        partition: Partition,
+        shard_id: int,
+        opts: Dict[str, Any],
+    ) -> None:
+        self.spec = spec
+        self.max_events = opts["max_events"]
+        self.sim, self.ctx = _build(
+            spec, opts, ShardSimulator, topology, partition, shard_id
+        )
+        self._reply: Any = None
+
+    @property
+    def next_time(self) -> Optional[float]:
+        return self.sim.next_event_time()
+
+    @property
+    def now(self) -> float:
+        return self.sim.clock.now
+
+    def step(
+        self, t_end: float, until: Optional[float], entries: List[tuple]
+    ) -> None:
+        sim = self.sim
+        if entries:
+            sim.inject(entries)
+        sim.run_window(t_end, hard_limit=until, max_events=self.max_events)
+        sim.run_barrier_hooks()
+        self._reply = sim.take_outbox()
+
+    def drain(self, t_sync: float) -> None:
+        sim = self.sim
+        sim.clock.advance_to(t_sync)
+        # Ticks due at the sync time close before drain work (epoch
+        # flushes) mutates counters, keeping the flush deltas in the
+        # same window the monolith assigns them.
+        sim.pump_recorder()
+        self.spec.drain(sim, self.ctx)
+        self._reply = sim.take_outbox()
+
+    def finish(self, until: Optional[float]) -> None:
+        self._reply = _finish_shard(self.spec, self.sim, self.ctx, until)
+
+    def reply(self) -> Any:
+        return self._reply
+
+    def close(self) -> None:
+        pass
+
+
 def _shard_worker(conn, spec, partition, shard_id, opts) -> None:
-    """The ``mp`` backend's per-shard process body.
+    """The ``mp`` backend's per-shard process body: a :class:`_LocalShard`
+    driven over a pipe.
 
-    Protocol (one pipe round-trip per window):
+    Protocol (one round-trip per command):
 
-    * worker → parent: ``("ready", next_event_time, clock_now)``
+    * worker → parent: ``("ready", None, next_event_time, clock_now)``
     * parent → worker: ``("step", t_end, hard_limit, inject_entries)``
-    * worker → parent: ``("stepped", outbox, processed, next_time,
-      clock_now)``
-    * parent → worker: ``("drain", t_sync)`` — advance to the global
-      sync time, run the scenario's drain hook
-    * worker → parent: ``("drained", outbox, next_time, clock_now)``
+      or ``("drain", t_sync)``
+    * worker → parent: ``("step"|"drain", outbox, next_time, clock_now)``
     * parent → worker: ``("finish", until)``
-    * worker → parent: ``("finished", bundle)`` and exit.
+    * worker → parent: ``("finish", bundle, next_time, clock_now)``,
+      then exit.
 
     Any exception is shipped back as ``("error", traceback)`` so the
-    parent can fail loudly instead of hanging on a dead pipe.
+    parent can fail loudly instead of waiting on a dead pipe.
     """
     try:
-        reset_trace_ids()
-        topology = spec.make_topology()
-        sim, ctx = _build_shard(spec, topology, partition, shard_id, opts)
-        conn.send(("ready", sim.next_event_time(), sim.clock.now))
+        shard = _LocalShard(
+            spec, spec.make_topology(), partition, shard_id, opts
+        )
+        conn.send(("ready", None, shard.next_time, shard.now))
         while True:
-            message = conn.recv()
-            if message[0] == "step":
-                _, t_end, hard_limit, entries = message
-                sim.inject(entries)
-                processed = sim.run_window(
-                    t_end, hard_limit=hard_limit,
-                    max_events=opts["max_events"],
-                )
-                sim.run_barrier_hooks()
-                conn.send(
-                    ("stepped", sim.take_outbox(), processed,
-                     sim.next_event_time(), sim.clock.now)
-                )
-            elif message[0] == "drain":
-                sim.clock.advance_to(message[1])
-                # Ticks due at the sync time close before drain work
-                # (epoch flushes) mutates counters, keeping the flush
-                # deltas in the same window the monolith assigns them.
-                sim.pump_recorder()
-                if spec.drain is not None:
-                    spec.drain(sim, ctx)
-                conn.send(
-                    ("drained", sim.take_outbox(), sim.next_event_time(),
-                     sim.clock.now)
-                )
-            elif message[0] == "finish":
-                conn.send(
-                    ("finished", _finish_shard(spec, sim, ctx, message[1]))
-                )
+            command, *args = conn.recv()
+            if command not in ("step", "drain", "finish"):
+                raise NetworkError(f"unknown runner command {command!r}")
+            getattr(shard, command)(*args)
+            conn.send((command, shard.reply(), shard.next_time, shard.now))
+            if command == "finish":
                 return
-            else:
-                raise NetworkError(f"unknown runner command {message[0]!r}")
     except Exception:
         import traceback
 
@@ -285,6 +384,95 @@ def _shard_worker(conn, spec, partition, shard_id, opts) -> None:
             pass
     finally:
         conn.close()
+
+
+class _PipeShard:
+    """A shard in a forked worker process, behind its pipe.
+
+    Commands are sent at once and answered by :meth:`reply`, so every
+    worker computes its window while the parent posts to the others.
+    :meth:`reply` polls in slices: a worker that exited, answered with
+    an error or garbage, or stayed silent past
+    :data:`WORKER_REPLY_DEADLINE_S` raises a :class:`NetworkError`
+    naming the shard and the window — the parent never hangs.
+    """
+
+    def __init__(self, mp, spec, partition, shard_id, opts) -> None:
+        self.shard_id = shard_id
+        self.windows = 0
+        self.next_time: Optional[float] = None
+        self.now = 0.0
+        self._expected = "ready"
+        parent_conn, child_conn = mp.Pipe()
+        self.proc = mp.Process(
+            target=_shard_worker,
+            args=(child_conn, spec, partition, shard_id, opts),
+            daemon=True,
+        )
+        self.proc.start()
+        child_conn.close()
+        self.conn = parent_conn
+
+    def _post(self, *message) -> None:
+        self._expected = message[0]
+        self.conn.send(message)
+
+    def step(
+        self, t_end: float, until: Optional[float], entries: List[tuple]
+    ) -> None:
+        self.windows += 1
+        self._post("step", t_end, until, entries)
+
+    def drain(self, t_sync: float) -> None:
+        self._post("drain", t_sync)
+
+    def finish(self, until: Optional[float]) -> None:
+        self._post("finish", until)
+
+    def _fail(self, problem: str) -> NetworkError:
+        return NetworkError(
+            f"shard {self.shard_id} worker {problem} (awaiting "
+            f"{self._expected!r} reply, window {self.windows})"
+        )
+
+    def _died(self) -> NetworkError:
+        self.proc.join(timeout=1.0)
+        return self._fail(
+            f"exited with code {self.proc.exitcode} before replying"
+        )
+
+    def reply(self) -> Any:
+        deadline = time.monotonic() + WORKER_REPLY_DEADLINE_S
+        while not self.conn.poll(_POLL_SLICE_S):
+            if not self.proc.is_alive():
+                raise self._died()
+            if time.monotonic() >= deadline:
+                raise self._fail(
+                    f"sent nothing for {WORKER_REPLY_DEADLINE_S}s"
+                )
+        try:
+            message = self.conn.recv()
+        except EOFError:
+            raise self._died() from None
+        except Exception as error:
+            raise self._fail(f"sent an undecodable message ({error!r})") from None
+        if isinstance(message, tuple) and message[:1] == ("error",):
+            raise self._fail(f"failed:\n{message[-1]}")
+        if (
+            not isinstance(message, tuple)
+            or len(message) != 4
+            or message[0] != self._expected
+        ):
+            raise self._fail(f"sent a malformed message {message!r:.200}")
+        _, payload, self.next_time, self.now = message
+        return payload
+
+    def close(self) -> None:
+        self.conn.close()
+        self.proc.join(timeout=_POLL_SLICE_S * 10)
+        if self.proc.is_alive():
+            self.proc.terminate()
+            self.proc.join()
 
 
 class ShardedRunner:
@@ -303,6 +491,10 @@ class ShardedRunner:
             raise NetworkError(
                 f"unknown backend {backend!r} (choose from {BACKENDS})"
             )
+        if backend == "monolith" and shards != 1:
+            raise NetworkError(
+                f"the monolith backend runs one event loop, not {shards}"
+            )
         self.spec = spec
         self.shards = shards
         self.backend = backend
@@ -319,23 +511,37 @@ class ShardedRunner:
         partition = partition_topology(
             topology, self.shards, self.control_latency_s
         )
+        opts = _worker_opts(self, max_events)
+        if self.backend == "monolith":
+            bundle = _run_monolith(self.spec, topology, opts, until)
+            return self._merge(partition, [bundle], 0)
         if self.backend == "mp":
-            bundles, windows = self._run_mp(partition, until, max_events)
+            mp = multiprocessing.get_context("fork")
+            handle = partial(_PipeShard, mp, self.spec, partition)
         else:
-            bundles, windows = self._run_inline(
-                topology, partition, until, max_events
-            )
+            handle = partial(_LocalShard, self.spec, topology, partition)
+        shards: List[Any] = []
+        try:
+            for shard_id in range(partition.shard_count):
+                shards.append(handle(shard_id, opts))
+            bundles, windows = self._barrier_loop(shards, partition, until)
+        finally:
+            for shard in shards:
+                shard.close()
         return self._merge(partition, bundles, windows)
 
-    # --- backends -------------------------------------------------------------
+    # --- the barrier protocol -------------------------------------------------
 
     @staticmethod
-    def _route(partition: Partition, merged: List[tuple], pending) -> None:
-        """Canonically order the merged outboxes and route each entry
-        to its destination shard's pending queue. The sort key is the
-        entry's data prefix ``(time, kind, endpoint..., index)`` —
-        stable, total for entries from distinct endpoints, and
-        independent of which shard produced what."""
+    def _route(partition: Partition, shards, pending) -> None:
+        """Collect every shard's reply outbox, order the merged entries
+        canonically and route each to its destination shard's pending
+        queue. The sort key is the entry's data prefix ``(time, kind,
+        endpoint..., index)`` — stable, total for entries from distinct
+        endpoints, and independent of which shard produced what."""
+        merged: List[tuple] = []
+        for shard in shards:
+            merged.extend(shard.reply())
         merged.sort(key=lambda entry: entry[:5])
         for entry in merged:
             # Control entries carry (sender, recipient); packet and
@@ -343,183 +549,45 @@ class ShardedRunner:
             target = entry[3] if entry[1] == KIND_CONTROL else entry[2]
             pending[partition.owner[target]].append(entry)
 
-    def _run_inline(self, topology, partition, until, max_events):
-        reset_trace_ids()
-        opts = _worker_opts(self, max_events)
-        sims: List[ShardSimulator] = []
-        ctxs: List[Any] = []
-        for shard_id in range(partition.shard_count):
-            sim, ctx = _build_shard(
-                self.spec, topology, partition, shard_id, opts
-            )
-            sims.append(sim)
-            ctxs.append(ctx)
-        pending: List[List[tuple]] = [[] for _ in sims]
+    def _barrier_loop(self, shards, partition: Partition, until):
+        """Window, exchange, repeat; drain when idle; finish. One loop
+        for every shard handle — in-process or behind a pipe."""
+        for shard in shards:
+            shard.reply()  # every build done (workers build in parallel)
+        pending: List[List[tuple]] = [[] for _ in shards]
         windows = 0
         drain_rounds = 0
         while True:
             while True:
-                start = self._next_start(
-                    [sim.next_event_time() for sim in sims], pending, until
+                start = _next_start(
+                    [shard.next_time for shard in shards], pending, until
                 )
                 if start is None:
                     break
                 t_end = start + partition.lookahead_s
-                merged: List[tuple] = []
-                for shard_id, sim in enumerate(sims):
-                    if pending[shard_id]:
-                        sim.inject(pending[shard_id])
-                        pending[shard_id] = []
-                    sim.run_window(
-                        t_end, hard_limit=until, max_events=max_events
-                    )
-                    sim.run_barrier_hooks()
-                    merged.extend(sim.take_outbox())
+                for shard, entries in zip(shards, pending):
+                    shard.step(t_end, until, entries)
+                pending = [[] for _ in shards]
                 windows += 1
-                self._route(partition, merged, pending)
+                self._route(partition, shards, pending)
             if self.spec.drain is None:
                 break
             drain_rounds += 1
-            if drain_rounds > MAX_DRAIN_ROUNDS:
-                raise NetworkError(
-                    "scenario drain hook kept scheduling work after "
-                    f"{MAX_DRAIN_ROUNDS} rounds"
-                )
-            t_sync = max(sim.clock.now for sim in sims)
-            merged = []
-            for sim, ctx in zip(sims, ctxs):
-                sim.clock.advance_to(t_sync)
-                sim.pump_recorder()
-                self.spec.drain(sim, ctx)
-                merged.extend(sim.take_outbox())
-            self._route(partition, merged, pending)
-            if (
-                self._next_start(
-                    [sim.next_event_time() for sim in sims], pending, until
-                )
-                is None
-            ):
+            _check_drain_rounds(drain_rounds)
+            t_sync = max(shard.now for shard in shards)
+            for shard in shards:
+                shard.drain(t_sync)
+            self._route(partition, shards, pending)
+            if _next_start(
+                [shard.next_time for shard in shards], pending, until
+            ) is None:
                 break
-        bundles = [
-            _finish_shard(self.spec, sim, ctx, until)
-            for sim, ctx in zip(sims, ctxs)
-        ]
-        return bundles, windows
-
-    @staticmethod
-    def _next_start(
-        next_times: List[Optional[float]],
-        pending: List[List[tuple]],
-        until: Optional[float],
-    ) -> Optional[float]:
-        """The next window's start time, or None when the run is over
-        (no pending work, or all of it beyond ``until``)."""
-        times = [t for t in next_times if t is not None]
-        times.extend(entry[0] for queue in pending for entry in queue)
-        if not times:
-            return None
-        start = min(times)
-        if until is not None and start > until:
-            return None
-        return start
-
-    def _run_mp(self, partition, until, max_events):
-        mp = multiprocessing.get_context("fork")
-        opts = _worker_opts(self, max_events)
-        conns = []
-        procs = []
-        try:
-            for shard_id in range(partition.shard_count):
-                parent_conn, child_conn = mp.Pipe()
-                proc = mp.Process(
-                    target=_shard_worker,
-                    args=(child_conn, self.spec, partition, shard_id, opts),
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                conns.append(parent_conn)
-                procs.append(proc)
-            next_times = []
-            clocks = []
-            for conn in conns:
-                _, next_time, now = self._recv(conn, "ready")
-                next_times.append(next_time)
-                clocks.append(now)
-            pending: List[List[tuple]] = [[] for _ in conns]
-            windows = 0
-            drain_rounds = 0
-            while True:
-                while True:
-                    start = self._next_start(next_times, pending, until)
-                    if start is None:
-                        break
-                    t_end = start + partition.lookahead_s
-                    for shard_id, conn in enumerate(conns):
-                        conn.send(("step", t_end, until, pending[shard_id]))
-                        pending[shard_id] = []
-                    merged: List[tuple] = []
-                    for shard_id, conn in enumerate(conns):
-                        _, outbox, _processed, next_time, now = self._recv(
-                            conn, "stepped"
-                        )
-                        next_times[shard_id] = next_time
-                        clocks[shard_id] = now
-                        merged.extend(outbox)
-                    windows += 1
-                    self._route(partition, merged, pending)
-                if self.spec.drain is None:
-                    break
-                drain_rounds += 1
-                if drain_rounds > MAX_DRAIN_ROUNDS:
-                    raise NetworkError(
-                        "scenario drain hook kept scheduling work after "
-                        f"{MAX_DRAIN_ROUNDS} rounds"
-                    )
-                t_sync = max(clocks)
-                for conn in conns:
-                    conn.send(("drain", t_sync))
-                merged = []
-                for shard_id, conn in enumerate(conns):
-                    _, outbox, next_time, now = self._recv(conn, "drained")
-                    next_times[shard_id] = next_time
-                    clocks[shard_id] = now
-                    merged.extend(outbox)
-                self._route(partition, merged, pending)
-                if self._next_start(next_times, pending, until) is None:
-                    break
-            for conn in conns:
-                conn.send(("finish", until))
-            bundles = [self._recv(conn, "finished")[1] for conn in conns]
-            return bundles, windows
-        finally:
-            for conn in conns:
-                try:
-                    conn.close()
-                except Exception:
-                    pass
-            for proc in procs:
-                proc.join(timeout=30)
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-
-    @staticmethod
-    def _recv(conn, expected: str):
-        try:
-            message = conn.recv()
-        except EOFError:
-            raise NetworkError(
-                "shard worker died without reporting an error"
-            ) from None
-        if message[0] == "error":
-            raise NetworkError(f"shard worker failed:\n{message[1]}")
-        if message[0] != expected:
-            raise NetworkError(
-                f"shard worker protocol error: got {message[0]!r}, "
-                f"expected {expected!r}"
-            )
-        return message
+        # Every shard finishes at the run's end time, so harvest-time
+        # events carry the same timestamps under any partitioning.
+        end = until if until is not None else max(s.now for s in shards)
+        for shard in shards:
+            shard.finish(end)
+        return [shard.reply() for shard in shards], windows
 
     # --- merge ----------------------------------------------------------------
 

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.packet import Packet
@@ -42,7 +43,7 @@ from repro.telemetry.instrument import (
     collect_simulator,
     default_telemetry,
 )
-from repro.telemetry.tracing import TraceContext
+from repro.telemetry.tracing import TraceContext, TraceIds
 from repro.util.clock import SimClock
 from repro.util.errors import NetworkError
 from repro.util.ids import spawn_seed
@@ -182,6 +183,13 @@ class Simulator:
         # the first event at or past each tick time — so the recorder
         # never perturbs the event queue or the processed count.
         self._recorder = None
+        # Trace ids stamped by hosts this simulator runs: per-origin
+        # serials, owned here so two runs in one process never share
+        # (or have to reset) a sequence.
+        self.trace_ids = TraceIds()
+        #: Wall-clock seconds spent processing events (outside SimStats:
+        #: wall time is not deterministic).
+        self.busy_seconds = 0.0
 
     def install_faults(self, hook) -> None:
         """Install a fault-injection hook (duck-typed; see
@@ -214,7 +222,16 @@ class Simulator:
 
     def recorder_runtime(self) -> Tuple[float, float]:
         """``(backlog, busy_seconds)`` for the runtime export section."""
-        return (float(len(self._queue)), 0.0)
+        return (float(len(self._queue)), self.busy_seconds)
+
+    def finalize(self) -> None:
+        """End-of-run close-out: finish the flight recorder's residual
+        window and export the final stats (each :meth:`run` already
+        folded its events into them)."""
+        if self._recorder is not None:
+            self._recorder.finish(self.clock.now)
+        if self.telemetry.active:
+            collect_simulator(self.telemetry, self)
 
     # --- setup ------------------------------------------------------------
 
@@ -306,6 +323,10 @@ class Simulator:
         """
         self._barrier_hooks.append(hook)
 
+    def next_event_time(self) -> Optional[float]:
+        """Earliest pending event time, or None when the queue is empty."""
+        return self._queue[0][0] if self._queue else None
+
     def run(self, until: Optional[float] = None, max_events: int = 1_000_000) -> int:
         """Drain the event queue; returns the number of events processed.
 
@@ -313,6 +334,7 @@ class Simulator:
         runaway loops in buggy node behaviours.
         """
         processed = 0
+        busy_from = perf_counter()
         recorder = self._recorder
         due = recorder.next_tick_s if recorder is not None else float("inf")
         try:
@@ -339,6 +361,7 @@ class Simulator:
             # leave a usable trace on disk. Flush errors are swallowed
             # so they can never mask the original exception.
             self.stats.events_processed += processed
+            self.busy_seconds += perf_counter() - busy_from
             if self.telemetry.active:
                 collect_simulator(self.telemetry, self)
             try:

@@ -92,12 +92,7 @@ from repro.telemetry.timeseries import (
     timeseries_export,
     timeseries_snapshot,
 )
-from repro.telemetry.tracing import (
-    TraceContext,
-    new_trace_id,
-    reset_trace_ids,
-    start_trace,
-)
+from repro.telemetry.tracing import TraceContext, TraceIds
 
 __all__ = [
     "Telemetry",
@@ -124,9 +119,7 @@ __all__ = [
     "summary",
     "dump_run",
     "TraceContext",
-    "start_trace",
-    "new_trace_id",
-    "reset_trace_ids",
+    "TraceIds",
     "AuditJournal",
     "AuditEvent",
     "AuditKind",

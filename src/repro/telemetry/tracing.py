@@ -18,9 +18,11 @@ packet mutation preserves it for free. Every layer that already opens
 spans or records audit events tags them with the owning trace, so
 exports can join a packet's whole life back together by id.
 
-Trace ids are deterministic (:class:`~repro.util.ids.IdAllocator` plus
-a content hash), never ``uuid4``: the same scripted run yields the same
-ids, which keeps traces diffable across runs.
+Trace ids are deterministic (:class:`TraceIds`: per-origin serials
+plus a content hash), never ``uuid4``: the same scripted run yields the
+same ids, which keeps traces diffable across runs. Every simulator owns
+its own :class:`TraceIds`, so there is no process-wide sequence for a
+caller to reset between runs.
 """
 
 from __future__ import annotations
@@ -32,27 +34,6 @@ from repro.util.ids import IdAllocator, short_id
 
 #: Length of the hex trace-id token.
 TRACE_ID_LEN = 12
-
-_allocator = IdAllocator()
-
-
-def new_trace_id(origin: str = "") -> str:
-    """Allocate a deterministic trace id (stable across identical runs).
-
-    Serials are per-origin, so a host's Nth trace id depends only on
-    ``(origin, N)`` — not on how sends from *other* hosts interleave
-    with its own. That makes trace ids invariant under sharding: the
-    sharded runner replays the same per-host send sequences in any
-    partitioning and gets byte-identical ids.
-    """
-    serial = _allocator.next(f"trace:{origin}")
-    return short_id(f"trace|{origin}|{serial}".encode(), length=TRACE_ID_LEN)
-
-
-def reset_trace_ids() -> None:
-    """Restart the deterministic id sequences (tests and fresh runs)."""
-    global _allocator
-    _allocator = IdAllocator()
 
 
 @dataclass(frozen=True)
@@ -81,15 +62,31 @@ class TraceContext:
         return f"TraceContext({self.trace_id}, hop={self.hop})"
 
 
-def start_trace(origin: str) -> TraceContext:
-    """A fresh hop-0 context originating at ``origin``."""
-    return TraceContext(trace_id=new_trace_id(origin), origin=origin)
+class TraceIds:
+    """One simulation's deterministic trace-id sequences.
+
+    Serials are per-origin, so a host's Nth trace id depends only on
+    ``(origin, N)`` — not on how sends from *other* hosts interleave
+    with its own. That makes trace ids invariant under sharding: each
+    shard's simulator owns a :class:`TraceIds`, a host's sends all run
+    in its owner shard, and any partitioning yields byte-identical ids.
+    """
+
+    def __init__(self) -> None:
+        self._serials = IdAllocator()
+
+    def new_id(self, origin: str = "") -> str:
+        """Allocate ``origin``'s next trace id."""
+        serial = self._serials.next(f"trace:{origin}")
+        return short_id(f"trace|{origin}|{serial}".encode(), length=TRACE_ID_LEN)
+
+    def start(self, origin: str) -> TraceContext:
+        """A fresh hop-0 context originating at ``origin``."""
+        return TraceContext(trace_id=self.new_id(origin), origin=origin)
 
 
 __all__ = [
     "TraceContext",
-    "start_trace",
-    "new_trace_id",
-    "reset_trace_ids",
+    "TraceIds",
     "TRACE_ID_LEN",
 ]

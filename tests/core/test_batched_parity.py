@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.usecases import run_config_assurance
 from repro.pera.config import BatchingSpec
-from repro.telemetry import AuditKind, Telemetry, use_default
+from repro.telemetry import AuditKind
 
 PACKETS = 12
 SWAP_AT = 6
@@ -25,15 +25,10 @@ AMORTIZED_KINDS = {AuditKind.SIGNATURE_MADE, AuditKind.EPOCH_SEALED}
 
 
 def run_mode(batching):
-    telemetry = Telemetry(active=True)
-    previous = use_default(telemetry)
-    try:
-        result = run_config_assurance(
-            packets=PACKETS, swap_at=SWAP_AT, batching=batching
-        )
-    finally:
-        use_default(previous)
-    return result, telemetry
+    result = run_config_assurance(
+        packets=PACKETS, swap_at=SWAP_AT, batching=batching
+    )
+    return result, result.sharded.telemetry
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,7 @@
 """The fat-tree attested-traffic campaign: parity, determinism, faults.
 
 One small campaign (k=4, mixed bulk/web/attested load) is run on the
-monolithic simulator and on the sharded core at 1, 2, and 4 shards;
+monolith backend and on the sharded core at 1, 2, and 4 shards;
 every view of the result — merged stats, audit ordering, per-flow
 completion times, appraisal verdicts, per-port spread — must agree.
 """
@@ -13,7 +13,6 @@ import pytest
 from repro.core.fabric import (
     FatTreeShape,
     run_fabric_traffic,
-    run_fabric_traffic_monolith,
 )
 from repro.net.qdisc import QueueConfig, RecoveryConfig
 from repro.net.routing import RoutingMode
@@ -42,7 +41,7 @@ def sharded_runs():
 
 @pytest.fixture(scope="module")
 def monolith_run():
-    return run_fabric_traffic_monolith(SHAPE, seed=SEED)
+    return run_fabric_traffic(SHAPE, seed=SEED, backend="monolith")
 
 
 class TestCampaignOutcome:
@@ -219,11 +218,13 @@ class TestCongestionCampaign:
         queue = QueueConfig(
             recovery=RecoveryConfig(retransmit_limit=8)
         )
-        clean = run_fabric_traffic_monolith(
-            FatTreeShape(queue=queue), seed=SEED
+        clean = run_fabric_traffic(
+            FatTreeShape(queue=queue), seed=SEED, backend="monolith"
         )
-        dirty = run_fabric_traffic_monolith(
-            FatTreeShape(queue=queue, corrupt_link_rate=0.3), seed=SEED
+        dirty = run_fabric_traffic(
+            FatTreeShape(queue=queue, corrupt_link_rate=0.3),
+            seed=SEED,
+            backend="monolith",
         )
         assert dirty.verdicts == clean.verdicts
         accepted, rejected = dirty.verdict_counts
@@ -241,9 +242,10 @@ class TestCongestionCampaign:
 
     def test_incast_fan_in_bounded_by_remote_hosts(self):
         with pytest.raises(ValueError):
-            run_fabric_traffic_monolith(
+            run_fabric_traffic(
                 FatTreeShape(queue=self.QUEUE, incast_fan_in=99),
                 seed=SEED,
+                backend="monolith",
             )
 
     def test_queueless_shapes_unchanged(self):

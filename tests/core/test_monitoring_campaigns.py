@@ -28,7 +28,6 @@ from repro.core.chaos import (
 from repro.core.fabric import (
     FatTreeShape,
     run_fabric_traffic,
-    run_fabric_traffic_monolith,
     standard_fabric_rules,
 )
 from repro.faults.plan import FaultPlan
@@ -48,8 +47,8 @@ def chaos_monolith():
 
 @pytest.fixture(scope="module")
 def fabric_monolith():
-    return run_fabric_traffic_monolith(
-        shape=FABRIC_SHAPE, health=standard_fabric_rules()
+    return run_fabric_traffic(
+        shape=FABRIC_SHAPE, health=standard_fabric_rules(), backend="monolith"
     )
 
 
@@ -193,9 +192,10 @@ _CONGESTION_RULES = dict(queue_depth_bytes=4096.0)
 
 class TestCongestionAlerts:
     def test_congested_incast_raises_queue_and_pause_rules(self):
-        result = run_fabric_traffic_monolith(
+        result = run_fabric_traffic(
             shape=CONGESTED_SHAPE,
             health=standard_fabric_rules(**_CONGESTION_RULES),
+            backend="monolith",
         )
         raised = {
             a["detail"]["rule"]
@@ -208,9 +208,10 @@ class TestCongestionAlerts:
         assert "fabric-drops" in raised
 
     def test_calm_queued_baseline_is_silent(self):
-        result = run_fabric_traffic_monolith(
+        result = run_fabric_traffic(
             shape=CALM_QUEUED_SHAPE,
             health=standard_fabric_rules(**_CONGESTION_RULES),
+            backend="monolith",
         )
         assert result.health.alerts == []
 

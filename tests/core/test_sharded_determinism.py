@@ -1,12 +1,17 @@
-"""The sharded core's determinism contract, pinned end to end.
+"""The campaign runner's determinism contract, pinned end to end.
 
 Same seed => byte-identical merged outputs for 1, 2 and 4 shards, on
-both backends, for three scenarios of increasing hostility:
+both sharded backends, for three scenarios of increasing hostility:
 
-- the leaf-spine fabric workload (pure dataplane load),
+- a small fat-tree fabric workload (bulk dataplane load, plain and
+  with a corrupting link),
 - UC1 config assurance (attestation verdicts + epoch batching),
 - the chaos campaign (an installed :class:`~repro.faults.FaultPlan`
   with losses, a compromise, crash/restart and clock skew).
+
+The ``monolith`` backend — one plain event loop, no windows — is the
+parity oracle: :class:`TestMonolithBackendParity` pins its exports and
+scenario outputs byte-identical to inline 1/2/4 shards and mp 2 shards.
 
 "Byte-identical" is taken literally: the comparisons below are over
 JSON strings of the merged :class:`~repro.net.simulator.SimStats`,
@@ -22,29 +27,34 @@ scenario): it must agree with inline, but each mp case forks workers
 and costs real wall time.
 """
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.core.chaos import run_chaos_athens
+from repro.core.chaos import run_chaos_athens, standard_chaos_rules
 from repro.core.fabric import (
-    FabricShape,
     FatTreeShape,
     fabric_sampling_spec,
-    run_fabric,
+    fabric_traffic_spec,
     run_fabric_traffic,
-    run_fabric_traffic_monolith,
+    standard_fabric_rules,
 )
 from repro.core.usecases import run_config_assurance
 from repro.net.qdisc import QueueConfig, RecoveryConfig
 from repro.net.routing import RoutingMode
+from repro.net.shardrun import ShardedRunner
 from repro.pera.config import BatchingSpec
 from repro.telemetry.metrics import parse_name
+from repro.util.errors import NetworkError
 
 SHARD_COUNTS = (1, 2, 4)
 
-FABRIC_SHAPE = FabricShape(
-    leaves=8, spines=2, hosts_per_leaf=2, flows_per_host=4
+#: Bulk ECMP load plus two attested flows; the ``chaos`` variant arms a
+#: corrupting edge-agg hop on the first attested path (no recovery, so
+#: corrupted evidence reaches the appraiser).
+FABRIC_SHAPE = FatTreeShape(
+    k=4, bulk_flows=40, web_sessions=0, attested_flows=2, attested_packets=4
 )
 
 #: The congested campaign: tight buffers so tail-drops, ECN marks and
@@ -86,11 +96,13 @@ def metric_signature(result):
 
 
 def fabric_signature(shards, backend, chaos, seed=0):
-    run = run_fabric(
-        FABRIC_SHAPE, shards=shards, backend=backend, seed=seed, chaos=chaos
-    )
+    shape = FABRIC_SHAPE
+    if chaos:
+        shape = dataclasses.replace(shape, corrupt_link_rate=0.3)
+    run = run_fabric_traffic(shape, shards=shards, backend=backend, seed=seed)
     return json.dumps({
-        "delivered": run.delivered,
+        "forwarded": run.forwarded,
+        "verdicts": {str(k): v for k, v in sorted(run.verdicts.items())},
         "stats": run.result.stats_export(),
         "audit": run.result.audit_export(),
         "metrics": metric_signature(run.result),
@@ -187,9 +199,25 @@ class TestCongestedDeterminism:
         assert stats["pause_frames"] > 0
         assert stats["recovery_retransmits"] > 0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: two packets reach one core switch at the "
+        "same instant from pods in different shards, and the tie breaks "
+        "by local scheduling order, so one flow's last arrival moves by a "
+        "serialization delay at 2 and 4 shards",
+    )
+    def test_per_flow_fct_is_shard_invariant(self):
+        fct = {
+            shards: run_fabric_traffic(
+                CONGESTED_SHAPE, shards=shards, seed=3
+            ).fct_s
+            for shards in (1, 2)
+        }
+        assert fct[2] == fct[1]
+
     def test_matches_monolith(self):
-        mono = run_fabric_traffic_monolith(
-            CONGESTED_SHAPE, seed=3, sampling=fabric_sampling_spec()
+        mono = run_fabric_traffic(
+            CONGESTED_SHAPE, seed=3, sampling=fabric_sampling_spec(), backend="monolith"
         )
         sharded = run_fabric_traffic(
             CONGESTED_SHAPE, shards=4, seed=3,
@@ -225,9 +253,8 @@ class TestUC1Determinism:
         assert uc1_signature(2, "mp") == uc1_signature(2, "inline")
 
     def test_verdicts_match_monolith(self):
-        # The sharded entry point always runs with telemetry active,
-        # the monolith default does not — so verdict trace ids differ
-        # by construction; every semantic field must agree.
+        # Every semantic field must agree (TestMonolithBackendParity
+        # pins the full verdicts, trace ids included).
         def semantic(v):
             return (v.accepted, v.failures, v.records_checked,
                     v.hop_count, v.functions_seen, v.degraded)
@@ -260,3 +287,124 @@ class TestChaosDeterminism:
         assert sharded.recovered_at == mono.recovered_at
         assert sharded.exfiltrated == mono.exfiltrated
         assert sharded.collector_records == mono.collector_records
+
+
+def _parity_exports(result, outputs):
+    return json.dumps({
+        "stats": result.stats_export(),
+        "audit": result.audit_export(),
+        "frames": result.frames_export(),
+        "outputs": outputs,
+    }, sort_keys=True, default=str)
+
+
+def _congested_parity(backend, shards):
+    run = run_fabric_traffic(
+        CONGESTED_SHAPE,
+        shards=shards,
+        backend=backend,
+        seed=3,
+        sampling=fabric_sampling_spec(),
+        health=standard_fabric_rules(queue_depth_bytes=4096.0),
+    )
+    return _parity_exports(run.result, {
+        "forwarded": run.forwarded,
+        "attested_hops": run.attested_hops,
+        "ecn_delivered": run.ecn_delivered,
+        "congestion_repicks": run.congestion_repicks,
+        # Percentiles, as in congested_signature: per-flow completion
+        # times are not yet shard-invariant (see the xfail below).
+        "fct": run.fct_percentiles((0.5, 0.95, 0.99, 0.999)),
+        "completed": sorted(run.fct_s),
+        "verdicts": sorted(run.verdicts.items()),
+        "tx_by_port": run.tx_by_port,
+        "timeseries": run.timeseries_export(),
+    })
+
+
+def _chaos_parity(seed):
+    def run(backend, shards):
+        result = run_chaos_athens(
+            seed=seed,
+            shards=None if backend == "monolith" else shards,
+            backend=backend,
+            health=standard_chaos_rules(),
+        )
+        return _parity_exports(result.sharded, {
+            "verdicts": [repr(v) for v in result.verdicts],
+            "exfiltrated": result.exfiltrated,
+            "collector_records": result.collector_records,
+            "fault_stats": result.fault_stats,
+            "ra_counters": result.ra_counters,
+            "timeseries": result.timeseries_export(),
+        })
+    return run
+
+
+def _uc1_parity(batching):
+    def run(backend, shards):
+        result = run_config_assurance(
+            shards=None if backend == "monolith" else shards,
+            backend=backend,
+            batching=batching,
+        )
+        return _parity_exports(result.sharded, {
+            "verdicts": [repr(v) for v in result.verdicts],
+            "exfiltrated": result.exfiltrated,
+            "first_rejection": result.first_rejection,
+        })
+    return run
+
+
+PARITY_SCENARIOS = {
+    "congested": _congested_parity,
+    "chaos-seed0": _chaos_parity(0),
+    "chaos-seed7": _chaos_parity(7),
+    "uc1": _uc1_parity(None),
+    "uc1-batched": _uc1_parity(BatchingSpec(max_records=4, max_delay_s=0.0)),
+}
+
+
+@pytest.fixture(scope="module")
+def monolith_exports():
+    """Each scenario's monolith exports, computed once per module."""
+    cache = {}
+
+    def get(scenario):
+        if scenario not in cache:
+            cache[scenario] = PARITY_SCENARIOS[scenario]("monolith", 1)
+        return cache[scenario]
+
+    return get
+
+
+class TestMonolithBackendParity:
+    """The plain event loop is the oracle every partitioning matches,
+    byte for byte: merged stats, audit journal, frames and the
+    scenario's own outputs (verdicts with their trace ids, FCTs,
+    alert timelines)."""
+
+    @pytest.mark.parametrize(
+        "backend,shards",
+        [("inline", 1), ("inline", 2), ("inline", 4), ("mp", 2)],
+        ids=["inline1", "inline2", "inline4", "mp2"],
+    )
+    @pytest.mark.parametrize("scenario", list(PARITY_SCENARIOS))
+    def test_byte_identical_to_shards(
+        self, monolith_exports, scenario, backend, shards
+    ):
+        expected = monolith_exports(scenario)
+        assert PARITY_SCENARIOS[scenario](backend, shards) == expected
+
+    def test_runs_one_loop_without_windows(self):
+        run = run_fabric_traffic(FABRIC_SHAPE, backend="monolith")
+        assert run.result.backend == "monolith"
+        assert run.result.shards == 1
+        assert run.result.windows == 0
+
+    def test_rejects_more_than_one_shard(self):
+        with pytest.raises(NetworkError, match="monolith"):
+            ShardedRunner(
+                fabric_traffic_spec(FABRIC_SHAPE), shards=2,
+                backend="monolith",
+            )

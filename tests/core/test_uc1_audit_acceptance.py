@@ -31,9 +31,10 @@ def telemetry():
 
 
 class TestAthensAcceptance:
-    def test_rejection_is_traced_across_all_three_switches(self, telemetry):
+    def test_rejection_is_traced_across_all_three_switches(self):
         result = run_config_assurance(packets=4, swap_at=1, switch_count=3)
         assert result.first_rejection == 1
+        telemetry = result.sharded.telemetry
 
         verdict = result.verdicts[result.first_rejection]
         assert not verdict.accepted

@@ -8,7 +8,7 @@ the evidence travelled (in-band stack, out-of-band objects, VM result).
 
 from dataclasses import replace as dc_replace
 
-import repro.copland.evidence as legacy_copland_evidence
+import repro.copland as copland
 import repro.evidence.nodes as nodes
 from repro.copland.parser import parse_phrase
 from repro.copland.vm import CoplandVM, Place
@@ -172,7 +172,7 @@ class TestRaLayer:
 
 class TestLegacyPaths:
     def test_old_import_paths_are_views_over_the_substrate(self):
-        """repro.copland.evidence and repro.pera.records re-export the
+        """repro.copland and repro.pera.records re-export the
         substrate's types — not parallel copies."""
         for name in (
             "Evidence",
@@ -184,6 +184,6 @@ class TestLegacyPaths:
             "SequenceEvidence",
             "ParallelEvidence",
         ):
-            assert getattr(legacy_copland_evidence, name) is getattr(nodes, name)
+            assert getattr(copland, name) is getattr(nodes, name)
         assert issubclass(HopRecord, HopEvidence)
         assert RECORD_TLV_TYPE == nodes.KIND_HOP

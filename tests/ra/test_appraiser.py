@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.copland.evidence import (
+from repro.evidence import (
     EmptyEvidence,
     MeasurementEvidence,
     NonceEvidence,

@@ -116,23 +116,18 @@ class TestSimulatorIntegration:
 
 
 class TestUseCaseEndToEnd:
-    """Acceptance: an ambient-enabled UC1 run yields per-switch
-    evidence counters, pipeline-stage spans and the verify-cache
+    """Acceptance: a UC1 run's merged telemetry carries per-switch
+    evidence counters, appraisal verdict counts and the verify-cache
     hit rate — without the use case knowing telemetry exists."""
 
     def test_uc1_run_is_fully_observed(self):
         from repro.core.usecases import run_config_assurance
         from repro.telemetry import snapshot
 
-        tel = Telemetry()
-        previous = use_default(tel)
-        try:
-            result = run_config_assurance(packets=4, swap_at=2)
-        finally:
-            use_default(previous)
+        result = run_config_assurance(packets=4, swap_at=2)
         assert result.first_rejection is not None
 
-        doc = snapshot(tel)
+        doc = snapshot(result.sharded.telemetry)
         gauges = doc["metrics"]["gauges"]
         # Per-switch evidence-block gauges for both chain switches.
         for switch in ("s1", "s2"):
@@ -153,6 +148,49 @@ class TestUseCaseEndToEnd:
             if k.startswith("core.path_verdicts{accepted=False")
         )
         assert accepted > 0 and rejected > 0
+
+    def test_uc1_chain_spans_every_stage(self):
+        """Spans are wall-clock data that stay with each run's event
+        loop (the merged telemetry carries metrics and the journal);
+        a UC1 chain on the ambient telemetry records them per switch."""
+        from repro.core.compiler import compile_policy_for_path
+        from repro.core.policies import ap1_bank_path_attestation
+        from repro.core.usecases import _appraiser_for, _pera_chain
+        from repro.core.wire import encode_compiled_policy
+        from repro.net.headers import RaShimHeader
+        from repro.pera.config import CompositionMode, EvidenceConfig
+        from repro.pisa.programs import firewall_program
+        from repro.telemetry import snapshot
+
+        tel = Telemetry()
+        previous = use_default(tel)
+        try:
+            program = firewall_program()
+            sim, src, dst, switches = _pera_chain(
+                2, EvidenceConfig(composition=CompositionMode.CHAINED),
+                programs=[program] * 2,
+            )
+            policy = compile_policy_for_path(
+                ap1_bank_path_attestation(),
+                path=["h-src", "s1", "s2", "h-dst"],
+                bindings={"client": "h-dst"},
+                composition=CompositionMode.CHAINED,
+            )
+            src.send_udp(
+                dst_mac=dst.mac, dst_ip=dst.ip, src_port=1000,
+                dst_port=2000, payload=b"probe",
+                ra_shim=RaShimHeader(
+                    flags=RaShimHeader.FLAG_POLICY,
+                    body=encode_compiled_policy(policy),
+                ),
+            )
+            sim.run()
+            appraiser = _appraiser_for(switches, [program] * 2)
+            appraiser.appraise_packet(dst.received_packets[0], compiled=policy)
+        finally:
+            use_default(previous)
+
+        doc = snapshot(tel)
         # Pipeline stages were spanned per switch track.
         span_names = {s["name"] for s in doc["spans"]}
         assert {"pisa.parse", "pisa.stage", "pisa.deparse",

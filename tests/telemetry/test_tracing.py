@@ -9,20 +9,13 @@ from repro.net.host import Host
 from repro.net.packet import Packet
 from repro.net.simulator import Simulator
 from repro.net.topology import Topology
-from repro.telemetry import (
-    AuditKind,
-    Telemetry,
-    TraceContext,
-    new_trace_id,
-    reset_trace_ids,
-    start_trace,
-)
+from repro.telemetry import AuditKind, Telemetry, TraceContext, TraceIds
 from repro.telemetry.tracing import TRACE_ID_LEN
 
 
 class TestTraceContext:
     def test_hopped_advances_hop_and_lineage(self):
-        ctx = start_trace("h1")
+        ctx = TraceIds().start("h1")
         assert ctx.hop == 0
         assert ctx.origin == "h1"
         assert ctx.lineage == ()
@@ -36,24 +29,44 @@ class TestTraceContext:
         assert ctx.span_args() == {"trace": "abcdef012345", "hop": 3}
 
     def test_frozen(self):
-        ctx = start_trace("h1")
+        ctx = TraceIds().start("h1")
         with pytest.raises(dataclasses.FrozenInstanceError):
             ctx.hop = 9
 
 
 class TestTraceIds:
     def test_shape(self):
-        tid = new_trace_id("h1")
+        tid = TraceIds().new_id("h1")
         assert len(tid) == TRACE_ID_LEN
         assert all(c in "0123456789abcdef" for c in tid)
 
     def test_deterministic_across_reset(self):
-        reset_trace_ids()
-        first = [new_trace_id("h1") for _ in range(3)]
-        reset_trace_ids()
-        second = [new_trace_id("h1") for _ in range(3)]
+        # A fresh sequence replays the same ids; nothing to reset.
+        first_ids, second_ids = TraceIds(), TraceIds()
+        first = [first_ids.new_id("h1") for _ in range(3)]
+        second = [second_ids.new_id("h1") for _ in range(3)]
         assert first == second
         assert len(set(first)) == 3  # consecutive ids differ
+
+    def test_serials_are_per_origin(self):
+        ids = TraceIds()
+        alone = TraceIds().new_id("h2")
+        ids.new_id("h1")
+        assert ids.new_id("h2") == alone
+
+    def test_back_to_back_simulators_stamp_the_same_id(self):
+        """Each simulator owns its sequence: a second run in the same
+        process replays the first one's trace ids without any reset."""
+        stamped = []
+        for _ in range(2):
+            sim, h1, _h2 = _host_pair(Telemetry())
+            sent = h1.send_udp(
+                dst_mac=2, dst_ip=ip_to_int("10.0.0.2"),
+                src_port=1000, dst_port=2000, payload=b"x",
+            )
+            sim.run()
+            stamped.append(sent.trace.trace_id)
+        assert stamped[0] == stamped[1]
 
 
 class TestPacketCarriage:
@@ -66,7 +79,7 @@ class TestPacketCarriage:
 
     def test_trace_is_not_on_the_wire(self):
         plain = self._packet()
-        traced = plain.with_trace(start_trace("h1"))
+        traced = plain.with_trace(TraceIds().start("h1"))
         assert traced == plain  # excluded from equality
         assert traced.encode() == plain.encode()
         assert Packet.decode(traced.encode()).trace is None
@@ -75,7 +88,7 @@ class TestPacketCarriage:
     def test_with_trace_carries_cached_wire(self):
         plain = self._packet()
         wire = plain.encode()  # populate the cache first
-        traced = plain.with_trace(start_trace("h1"))
+        traced = plain.with_trace(TraceIds().start("h1"))
         assert traced.encode() == wire
 
 
